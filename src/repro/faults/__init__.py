@@ -2,7 +2,7 @@
 
 The production promise of the service layer is *graceful per-function
 degradation*: one crashing, hanging or memory-hungry unit of work (a
-function verification, a portfolio racer, a daemon job) must cost exactly
+function verification, a daemon job) must cost exactly
 that unit, never the run around it.  This package supplies both halves of
 that promise:
 
@@ -22,7 +22,6 @@ Injection sites currently instrumented (grep for ``faults.inject``):
 ========================  =====================================================
 ``scheduler.worker``      per function, in the scheduler worker (and the
                           serial loop), key = function name
-``portfolio.child``       per racer, in the forked portfolio child
 ``cache.write``           between the cache tmp-file write and its atomic
                           rename, key = function name
 ``theory.check``          at the start of every theory-solver check

@@ -10,7 +10,8 @@ a JSON document for offline analysis.
 
 Note on restarts: the CDCL core deliberately has no restart policy (learned
 clauses persist across the incremental solver's checks instead), so event
-records carry no restart field; see ``docs/observability.md``.
+records carry no restart field; see "SAT-core heuristics" in
+``docs/smt.md``.
 """
 
 from __future__ import annotations

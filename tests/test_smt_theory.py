@@ -48,26 +48,30 @@ def _verify_models():
 
 _VARS = [Var("x"), Var("y"), Var("z"), Var("w")]
 _CONSTS = [IntConst(-3), IntConst(-1), IntConst(0), IntConst(1), IntConst(2), IntConst(5)]
+_SMALL_CONSTS = [IntConst(-2), IntConst(0), IntConst(1), IntConst(3)]
 
 
-def _random_term(rng, depth=2):
+def _random_term(rng, depth=2, variables=_VARS, consts=_CONSTS):
     if depth == 0 or rng.random() < 0.4:
-        return rng.choice(_VARS + _CONSTS)
+        return rng.choice(variables + consts)
     op = rng.choice([add, sub])
-    return op(_random_term(rng, depth - 1), _random_term(rng, depth - 1))
+    return op(
+        _random_term(rng, depth - 1, variables, consts),
+        _random_term(rng, depth - 1, variables, consts),
+    )
 
 
-def _random_atom(rng):
+def _random_atom(rng, variables=_VARS, consts=_CONSTS):
     op = rng.choice(["<", "<=", ">", ">=", "=", "!="])
-    return BinOp(op, _random_term(rng), _random_term(rng))
+    return BinOp(op, _random_term(rng, 2, variables, consts), _random_term(rng, 2, variables, consts))
 
 
-def _random_formula(rng, depth=2):
+def _random_formula(rng, depth=2, variables=_VARS, consts=_CONSTS):
     if depth == 0 or rng.random() < 0.3:
-        return _random_atom(rng)
+        return _random_atom(rng, variables, consts)
     shape = rng.random()
-    lhs = _random_formula(rng, depth - 1)
-    rhs = _random_formula(rng, depth - 1)
+    lhs = _random_formula(rng, depth - 1, variables, consts)
+    rhs = _random_formula(rng, depth - 1, variables, consts)
     if shape < 0.35:
         return and_(lhs, rhs)
     if shape < 0.7:
@@ -85,6 +89,17 @@ class TestOnlineOfflineDifferential:
         rng = random.Random(987_000 + seed)
         for _ in range(25):
             formula = _random_formula(rng, depth=3)
+            offline = solve_formula(formula, engine="offline")
+            online = solve_formula(formula, engine="online")
+            assert online.result == offline.result, f"diverged on {formula}"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_small_vocabulary_engines_agree(self, seed):
+        """Three variables and four constants: atoms share terms and bounds
+        far more often, a denser mix of theory conflicts and propagations."""
+        rng = random.Random(662_000 + seed)
+        for _ in range(20):
+            formula = _random_formula(rng, depth=3, variables=_VARS[:3], consts=_SMALL_CONSTS)
             offline = solve_formula(formula, engine="offline")
             online = solve_formula(formula, engine="online")
             assert online.result == offline.result, f"diverged on {formula}"
