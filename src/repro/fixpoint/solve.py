@@ -22,8 +22,9 @@ Scheduling and SMT backend come in two strategies:
     one visit asserts the (solution-substituted) hypotheses once inside a
     ``push``/``pop`` scope and tests every candidate qualifier under a
     throwaway assumption literal, so N qualifier checks cost one CNF build
-    instead of N.  Atom tables, learned clauses and theory lemmas survive
-    across visits to the same clause.
+    instead of N.  Atom tables, learned clauses, theory lemmas and the
+    encoding of every hypothesis conjunct survive across visits to the same
+    clause, so a revisit encodes only the conjuncts that are new to it.
 
 ``"naive"``
     The historical loop: dirty-set rescan, one from-scratch
@@ -990,7 +991,14 @@ class FixpointSolver:
     def _clause_hypotheses(
         self, clause: FlatConstraint, candidate: Dict[str, List[Expr]]
     ) -> Tuple[List[Expr], Dict[str, Sort]]:
-        solution = {name: and_(*predicates) for name, predicates in candidate.items()}
+        # Only the κs these hypotheses mention: the conjunctions of the
+        # function's other κs would be rebuilt on every visit and never used.
+        mentioned: Set[str] = set()
+        for hypothesis in clause.hypotheses:
+            mentioned |= kvars_of(hypothesis)
+        solution = {
+            name: and_(*candidate[name]) for name in mentioned if name in candidate
+        }
         hypotheses = [
             apply_solution(hypothesis, solution, self.kvar_decls)
             for hypothesis in clause.hypotheses

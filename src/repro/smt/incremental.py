@@ -17,14 +17,25 @@ qualifier checks for one clause share the exact same hypotheses — so an
   variable, :meth:`pop` retires the scope by permanently asserting the
   selector's negation (the guarded clauses become vacuous).
 
-Goals are tested with :meth:`check_sat_assuming`: the negated goal's
-memoised Tseitin root literal is *assumed*, never asserted, so testing ten
-candidate qualifiers against one hypothesis set costs one CNF build plus ten
-cheap assumption-guarded searches instead of ten full rebuilds — and a goal
-re-tested on a later visit costs a dictionary lookup plus a search over an
-already-warm clause database.  The theory loop only hands the simplex the
-atoms of formulas currently in force (global assertions, open scopes, the
-goal under test), so retired goals never inflate later LIA calls.
+Encoding is memoised per *conjunct*: :meth:`assert_expr` gives every
+top-level conjunct of a hypothesis its own Tseitin root literal and its own
+selector-guarded clause.  Liquid inference re-asserts a clause's hypotheses
+on every visit, each time with some qualifiers dropped from a κ solution;
+that makes a new conjunction, but every surviving conjunct was encoded on an
+earlier visit and costs a dictionary lookup, so a visit encodes only the
+conjuncts new to this context.
+
+Goals are tested by *assuming* the negation of their memoised root literal,
+never asserting it, so testing ten candidate qualifiers against one
+hypothesis set costs ten cheap assumption-guarded searches instead of ten
+full rebuilds — and a goal re-tested on a later visit costs a dictionary
+lookup plus a search over an already-warm clause database.  The encoding is
+full Tseitin (each root is equivalent to its formula, not merely implied),
+so the negated literal stands for the negated goal and the batched
+:meth:`refute_any` and the single :meth:`check_valid` share one encoding per
+goal.  The theory loop only hands the simplex the atoms of formulas
+currently in force (global assertions, open scopes, the goal under test), so
+retired goals never inflate later LIA calls.
 
 Soundness of retention rests on two facts: clauses are only ever *added*
 (popping a scope adds the selector's negation rather than deleting
@@ -38,7 +49,7 @@ import sys
 import time
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.logic.expr import Expr, TRUE, not_
+from repro.logic.expr import Expr, TRUE, conjuncts_of
 from repro.logic.simplify import simplify
 from repro.logic.sorts import BOOL, INT, Sort
 from repro.logic.subst import free_var_sorts, free_vars
@@ -163,15 +174,21 @@ class IncrementalSolver:
 
     def assert_expr(self, expr: Expr) -> None:
         """Assert ``expr`` in the innermost scope (or globally when no scope
-        is open).  The expression must be quantifier-free."""
-        root = self.literal_for(expr)
-        atoms = self._expr_atoms.get(expr, frozenset())
-        if self._frames:
-            self._sat.add_clause([-self._frames[-1], root])
-            self._frame_atoms[-1] |= atoms
-        else:
-            self._sat.add_clause([root])
-            self._global_atoms |= atoms
+        is open).  The expression must be quantifier-free.
+
+        Each top-level conjunct is asserted under its own memoised root
+        literal: a κ solution weakened by one qualifier is a new conjunction
+        but mostly old conjuncts, and those cost a dictionary lookup each.
+        """
+        for conjunct in conjuncts_of(expr):
+            root = self.literal_for(conjunct)
+            atoms = self._expr_atoms[conjunct]
+            if self._frames:
+                self._sat.add_clause([-self._frames[-1], root])
+                self._frame_atoms[-1] |= atoms
+            else:
+                self._sat.add_clause([root])
+                self._global_atoms |= atoms
 
     def literal_for(self, expr: Expr) -> int:
         """The Tseitin root literal equivalent to ``expr``, memoised.
@@ -194,7 +211,11 @@ class IncrementalSolver:
             self.sorts.setdefault(name, INT)
         try:
             main, side = self._pre.rewrite_split(expr)
-            side.extend(self._new_ackermann_axioms())
+            apps = self._pre._apps_seen
+            covered = len(apps)
+            # Congruence axioms for every pair involving an application
+            # first seen since the last committed encoding.
+            side.extend(ackermann_axioms(apps, start=self._ackermann_done))
             # Side parts are asserted permanently, so their atoms are always
             # theory-relevant; the main part's atoms only while it is active.
             side_atoms: Set[int] = set()
@@ -212,6 +233,13 @@ class IncrementalSolver:
                         )
                     ]
                 )
+            # The side parts are permanent clauses now: commit their
+            # bookkeeping before encoding the main part, which may still
+            # raise (a non-linear term, say).  Advancing the Ackermann
+            # counter any earlier would drop the axioms of a failed encoding
+            # for good.
+            self._global_atoms |= side_atoms
+            self._ackermann_done = covered
             main_atoms: Set[int] = set()
             self._atomizer.touched = main_atoms
             root = cnf.encode(
@@ -223,23 +251,9 @@ class IncrementalSolver:
             raise SmtError(str(error)) from error
         finally:
             self._atomizer.touched = None
-        self._global_atoms |= side_atoms
         self._root_cache[expr] = root
         self._expr_atoms[expr] = frozenset(main_atoms)
         return root
-
-    def _new_ackermann_axioms(self) -> List[Expr]:
-        """Ackermann congruence axioms for application pairs not yet covered.
-
-        The one-shot preprocessor emits all pairs at the end of its single
-        run; here new applications may appear with every assertion, so we
-        emit exactly the pairs involving an application first seen since the
-        previous assertion.
-        """
-        apps = self._pre._apps_seen
-        axioms = ackermann_axioms(apps, start=self._ackermann_done)
-        self._ackermann_done = len(apps)
-        return axioms
 
     # -- checking ------------------------------------------------------------
 
@@ -260,15 +274,17 @@ class IncrementalSolver:
     def check_valid_detailed(self, goal: Expr) -> SolverAnswer:
         """Decide ``asserted hypotheses |= goal`` without disturbing them.
 
-        The negated goal's root literal is *assumed*, never asserted, so
-        consecutive goals never see each other — and a goal re-tested on a
-        later visit reuses its original encoding plus every clause the solver
-        has learned since.  ``UNSAT`` means the goal is valid; unknown
-        answers count as "not proved", matching :func:`repro.smt.is_valid`.
+        The negation of the goal's root literal is *assumed*, never
+        asserted, so consecutive goals never see each other — and a goal
+        re-tested on a later visit reuses its original encoding plus every
+        clause the solver has learned since.  The Tseitin encoding defines
+        the root in both directions, so ``-literal_for(goal)`` is equivalent
+        to ``!goal``: one encoding serves this check and :meth:`refute_any`.
+        ``UNSAT`` means the goal is valid; unknown answers count as "not
+        proved", matching :func:`repro.smt.is_valid`.
         """
-        negated = not_(goal)
-        root = self.literal_for(negated)
-        return self.check_sat_assuming([root], self._expr_atoms.get(negated, frozenset()))
+        root = self.literal_for(goal)
+        return self.check_sat_assuming([-root], self._expr_atoms[goal])
 
     def check_valid(self, goal: Expr) -> bool:
         return self.check_valid_detailed(goal).is_unsat
@@ -290,7 +306,7 @@ class IncrementalSolver:
         atoms: Set[int] = set()
         for goal in goals:
             roots.append(self.literal_for(goal))
-            atoms |= self._expr_atoms.get(goal, frozenset())
+            atoms |= self._expr_atoms[goal]
         key = frozenset(roots)
         selector = self._refutation_selectors.get(key)
         if selector is None:

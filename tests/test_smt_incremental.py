@@ -10,9 +10,13 @@ discipline and the assumption handling of the SAT core.
 
 import random
 
+import pytest
+
 from repro.logic.expr import (
+    App,
     BinOp,
     IntConst,
+    Ite,
     Var,
     add,
     and_,
@@ -22,6 +26,7 @@ from repro.logic.expr import (
     implies,
     le,
     lt,
+    mul,
     not_,
     or_,
     sub,
@@ -29,7 +34,7 @@ from repro.logic.expr import (
 from repro.logic.sorts import BOOL, INT
 from repro.smt import IncrementalSolver, SatResult, is_valid
 from repro.smt.sat import SatSolver
-from repro.smt.solver import solve_formula
+from repro.smt.solver import SmtError, solve_formula
 
 
 # -- random formula generator -------------------------------------------------
@@ -172,6 +177,71 @@ class TestAssertionStack:
         assert solver.check_valid(ge(x, 5))
         assert not solver.check_valid(ge(x, 6))
         solver.pop()
+
+
+class TestEncodingReuse:
+    def test_surviving_conjuncts_reuse_their_encoding(self):
+        """A weakened hypothesis (one conjunct dropped) is a new conjunction
+        of old conjuncts: re-asserting it costs no SAT variable beyond the
+        new scope's selector."""
+        x, y = Var("x"), Var("y")
+        a, b, c = ge(x, 1), ge(y, 2), le(add(x, y), 10)
+        solver = IncrementalSolver({"x": INT, "y": INT})
+        solver.push()
+        solver.assert_expr(and_(a, b, c))
+        assert solver.check_valid(ge(y, 1))
+        solver.pop()
+        before = solver._sat.num_vars
+        solver.push()
+        solver.assert_expr(and_(a, c))
+        assert solver._sat.num_vars == before + 1
+        # The dropped conjunct is really gone from the scope.
+        assert solver.check_valid(le(x, 10)) == is_valid([a, c], le(x, 10))
+        assert not solver.check_valid(ge(y, 1))
+        solver.pop()
+
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_check_valid_shares_the_refute_any_encoding(self, valid):
+        """``check_valid(g)`` assumes the negation of the root literal that
+        ``refute_any`` already encoded for ``g``: no new Tseitin variable,
+        and the same answer as a fresh solver.  The goal's if-then-else term
+        is what a second encoding of ``!g`` would pay for again (a fresh
+        lifted variable and its definition)."""
+        x, y = Var("x"), Var("y")
+        hypotheses = [ge(x, 1), le(y, 4)]
+        goal = ge(Ite(ge(x, 0), x, y), 1 if valid else 2)
+        other = ge(y, 3)
+
+        def assert_hypotheses(solver):
+            solver.push()
+            for hypothesis in hypotheses:
+                solver.assert_expr(hypothesis)
+
+        solver = IncrementalSolver({"x": INT, "y": INT})
+        assert_hypotheses(solver)
+        assert solver.refute_any([goal, other]).result is SatResult.SAT
+        before = solver._sat.num_vars
+        answer = solver.check_valid(goal)
+        assert solver._sat.num_vars == before
+        fresh = IncrementalSolver({"x": INT, "y": INT})
+        assert_hypotheses(fresh)
+        assert answer == fresh.check_valid(goal) == valid
+
+
+class TestFailedEncoding:
+    @pytest.mark.parametrize("connective", [and_, or_])
+    def test_ackermann_axioms_survive_a_failed_encoding(self, connective):
+        """An assertion that raises half-way (non-linear term) must not lose
+        the congruence axioms its applications generated: a later valid
+        goal over the same applications must still be proved."""
+        a, b, x, y = Var("a"), Var("b"), Var("x"), Var("y")
+        fa, fb = App("f", (a,), INT), App("f", (b,), INT)
+        goal = not_(and_(eq(a, b), gt(fa, fb)))
+        solver = IncrementalSolver()
+        with pytest.raises(SmtError):
+            solver.assert_expr(connective(gt(fa, fb), gt(mul(x, y), 0)))
+        assert solver.check_valid(goal)
+        assert IncrementalSolver().check_valid(goal)
 
 
 class TestSatAssumptionSoundness:
